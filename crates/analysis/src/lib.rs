@@ -19,11 +19,6 @@
 //!    emits→triggers edges: dead rules, unreachable emits, and firing
 //!    cycles (a conservative non-termination warning).
 //!
-//! A fifth, informational pass — [`sharing::sharing_report`] — computes
-//! the shared beta-network trie the engine will build for a rule set:
-//! how many join nodes prefix sharing collapses and which prefixes
-//! carry the most rules (`gloss-lint --sharing`).
-//!
 //! The deploy plane runs [`analyze_rules`] as a gate: artifacts with
 //! error-level findings are rejected before they reach an engine. The
 //! `gloss-lint` binary runs the same passes from the command line.
@@ -33,14 +28,12 @@ pub mod dataflow;
 pub mod diag;
 pub mod graph;
 pub mod satisfy;
-pub mod sharing;
 pub mod types;
 
 pub use covering::{audit, audit_report, merge_cover, CoveringAudit, MergeProposal, Redundant};
 pub use diag::{Diagnostic, Report, Severity};
 pub use graph::InteractionGraph;
 pub use satisfy::{check_filter, simplify, unsatisfiable};
-pub use sharing::{sharing_report, SharedPrefix, SharingReport};
 
 use gloss_matchlet::{parse_rules, MatchletError, Rule};
 

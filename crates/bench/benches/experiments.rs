@@ -43,16 +43,15 @@ fn e1_matching(c: &mut Criterion) {
     });
 }
 
-/// E4: the delta-driven matching core under steady fact-join load.
+/// E4: the matching core under steady fact-join load.
 ///
 /// A rule whose goals enumerate an *unbound* subject over a 200-user
-/// knowledge base: every firing must either re-solve the join over all
-/// 200 `likes` facts (a from-scratch engine) or replay memoised
-/// solutions (the incremental engine). `steady` never mutates facts;
-/// `churn` removes and re-adds one (non-matching) user's facts every 16
-/// events, exercising delta repair and memo invalidation. Written
-/// against APIs that exist in earlier engines too, so the same file
-/// benches the before/after columns of BENCH_pr5.json.
+/// knowledge base: every firing re-solves the join over all 200 `likes`
+/// facts. `steady` never mutates facts; `churn` removes and re-adds one
+/// (non-matching) user's facts every 16 events, so the fact store's
+/// indexes and delta log work under the join. Written against APIs that
+/// exist in earlier engines too, so the same file benches the
+/// before/after columns of BENCH_pr5.json.
 fn e4_delta_matching(c: &mut Criterion) {
     const RULE: &str = r#"
         rule rare_flavor {
@@ -107,7 +106,7 @@ fn e4_delta_matching(c: &mut Criterion) {
 
 /// C13: adversarial subscription churn — rules added/removed at a high
 /// rate while events stream, the worst case for rule add/remove
-/// invalidation (kind-index rebuilds, index coverage, memo lifecycle).
+/// (kind-index rebuilds, rule compilation).
 fn c13_rule_churn(c: &mut Criterion) {
     let mut kb = InMemoryFacts::new();
     for i in 0..100 {
@@ -629,72 +628,6 @@ fn s6_subscriber_publish(c: &mut Criterion) {
     }
 }
 
-/// S7: beta-network prefix sharing — n rules whose goal chains start
-/// with the same two-goal fact join and differ only in a leaf filter
-/// over a fact-bound variable.
-///
-/// `steady` replays memoised solutions (both engine generations are
-/// near-flat here). `repair` mutates the knowledge base every iteration
-/// so every rule's memo goes stale before the event fires: per-rule memo
-/// tables re-solve the full two-goal join n times, while a shared beta
-/// network computes the common prefix once and extends each rule's leaf
-/// from it. Written against APIs that exist in the per-rule-memo engine
-/// too, so the same file benches both columns of BENCH_pr9.json.
-fn s7_shared_prefix(c: &mut Criterion) {
-    let smoke = std::env::var("GLOSS_BENCH_SMOKE").is_ok_and(|v| v != "0");
-    let sizes: &[usize] = if smoke { &[500] } else { &[1_000, 10_000] };
-    const USERS: u64 = 500;
-    let build_kb = || {
-        let mut kb = InMemoryFacts::new();
-        for u in 0..USERS {
-            // Two ice-cream fans (users 100 and 300); everyone else only
-            // adds to the likes-facts the join prefix must enumerate.
-            let flavor = if u % 200 == 100 { "ice cream" } else { "vanilla" };
-            kb.add(Fact::new(format!("user{u}"), "likes", Term::str(flavor)));
-            kb.add(Fact::new(format!("user{u}"), "nationality", Term::str("scottish")));
-        }
-        kb
-    };
-    for &n in sizes {
-        let mut src = String::with_capacity(n * 170);
-        for i in 0..n {
-            src += &format!(
-                "rule s{i} {{ on t: event tick(seq: ?s) where fact(?u, likes, \"ice cream\") and fact(?u, nationality, ?nat) and ?nat != \"x{i}\" within 1 m emit hit{i}(user: ?u) }}\n"
-            );
-        }
-        {
-            let kb = build_kb();
-            let mut engine = MatchletEngine::compile(&src).unwrap();
-            let ev = Event::new("tick").with_attr("seq", 1i64);
-            let mut t = 0u64;
-            c.bench_function(&format!("s7_beta_steady_{n}_rules"), |b| {
-                b.iter(|| {
-                    t += 1;
-                    engine.on_event(SimTime::from_micros(t), &ev, &kb)
-                })
-            });
-        }
-        {
-            let mut kb = build_kb();
-            let mut engine = MatchletEngine::compile(&src).unwrap();
-            let ev = Event::new("tick").with_attr("seq", 1i64);
-            let mut t = 0u64;
-            c.bench_function(&format!("s7_beta_repair_{n}_rules"), |b| {
-                b.iter(|| {
-                    t += 1;
-                    // Churn an odd-indexed (never matching) user: every
-                    // memo invalidates, the solution set stays put.
-                    let u = format!("user{}", 1 + 2 * (t % (USERS / 2)));
-                    kb.remove_subject(&u);
-                    kb.add(Fact::new(u.clone(), "likes", Term::str("vanilla")));
-                    kb.add(Fact::new(u, "nationality", Term::str("scottish")));
-                    engine.on_event(SimTime::from_micros(t), &ev, &kb)
-                })
-            });
-        }
-    }
-}
-
 /// C17: a synchronized hot-topic burst through an acyclic-peer graph
 /// whose forwarding tables covering/merging have collapsed.
 fn c17_flash_crowd_burst(c: &mut Criterion) {
@@ -781,6 +714,6 @@ criterion_group! {
               c3_cache_churn, c4_solver, c6_binding, c7_join, c8_store_lookup, c9_retrieval,
               c10_erasure, c13_rule_churn, m1_histogram_polling, s1_rule_scaling,
               s2_join_deep_buffer, s3_overlay_scaling, s4_churn_episode, s5_mobility_roam,
-              s6_subscriber_publish, s7_shared_prefix, c17_flash_crowd_burst
+              s6_subscriber_publish, c17_flash_crowd_burst
 }
 criterion_main!(experiments);

@@ -462,17 +462,8 @@ mod tests {
             a.run_for(SimDuration::from_secs(20));
         }
         assert!(!a.node(NodeIndex(1)).ui_received.is_empty(), "bob suggested");
-        // Both deployed instances share their node's one engine; repeat
-        // events are served from the memoised goal solve, observable in
-        // the per-node stats and the world metric.
-        let hosts = a.hosts_of("matchlet:fans");
-        assert!(
-            hosts.iter().any(|&h| a.node(h).server.engine().stats.memo_hits > 0),
-            "repeat events hit the shared index"
-        );
-        assert!(a.world().metrics().counter("gloss.match_memo_hits") > 0.0);
         // Re-seeding bob's profile flows retract+insert deltas through
-        // ingest; the memoised result must not go stale.
+        // ingest; the next firing must see the new facts.
         a.seed_knowledge(
             NodeIndex(2),
             "bob",

@@ -124,8 +124,7 @@ pub struct GlossNode {
     pub known_subjects: BTreeSet<String>,
     /// Ingested kb document version per subject: re-deliveries of an
     /// unchanged document (cache pushes, replica re-sends) are skipped
-    /// so they do not churn the fact store's delta feed — and with it
-    /// the matching engine's memoised solutions — for nothing.
+    /// so they do not churn the fact store's delta feed for nothing.
     kb_doc_versions: BTreeMap<String, u64>,
     /// Authority `(source, epoch)` each locally held subject is anchored
     /// at, set by versioned snapshots and advanced by applied delta
@@ -244,16 +243,8 @@ impl GlossNode {
             return;
         }
         // Matchlets. All bundles installed on this node share the
-        // server's one engine, so its alpha/beta indexes are repaired
-        // once per knowledge update however many matchlets are deployed;
-        // memo hits are surfaced as a world metric.
-        let memo_before = self.server.engine().stats.memo_hits;
-        let outputs = self.server.match_event(now, &event, &self.kb);
-        let memo_hits = self.server.engine().stats.memo_hits - memo_before;
-        if memo_hits > 0 {
-            out.count("gloss.match_memo_hits", memo_hits as f64);
-        }
-        for synthesized in outputs {
+        // server's one engine.
+        for synthesized in self.server.match_event(now, &event, &self.kb) {
             self.emitted += 1;
             out.count("gloss.synthesized", 1.0);
             out.trace("synthesize", format!("{synthesized}"));
@@ -333,8 +324,8 @@ impl GlossNode {
         };
         // A version we already hold is a no-op re-delivery (the version
         // is the document's content identity at the storage layer):
-        // re-ingesting it would only spray retract+insert deltas that
-        // invalidate the matching engine's memos for nothing.
+        // re-ingesting it would only spray retract+insert deltas into
+        // the fact store's change feed for nothing.
         if self.kb_doc_versions.get(subject).is_some_and(|v| *v >= doc.version) {
             out.count("gloss.kb_reingest_skipped", 1.0);
             return;

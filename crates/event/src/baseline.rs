@@ -290,8 +290,11 @@ impl LinearBroker {
     }
 
     fn route(&mut self, from: NodeIndex, event: Event, out: &mut Outbox<BrokerMsg>) {
-        // Local delivery: one full table scan per publication.
+        // Local delivery: one full table scan per publication; each
+        // client or proxy is served once however many of its
+        // subscriptions match.
         let mut to_buffer: Vec<NodeIndex> = Vec::new();
+        let mut notified: Vec<NodeIndex> = Vec::new();
         for e in &self.subs {
             let iface = e.iface;
             if iface == from || !self.clients.contains(&iface) && !self.proxies.contains_key(&iface)
@@ -303,7 +306,8 @@ impl LinearBroker {
                     if !to_buffer.contains(&iface) {
                         to_buffer.push(iface);
                     }
-                } else if self.clients.contains(&iface) {
+                } else if self.clients.contains(&iface) && !notified.contains(&iface) {
+                    notified.push(iface);
                     out.send(iface, BrokerMsg::Notify(event.clone()));
                     out.count("pubsub.delivered_local", 1.0);
                 }
@@ -372,5 +376,20 @@ mod tests {
         assert_eq!(out.sends().len(), 1);
         assert_eq!(b.subscription_count(), 1);
         assert_eq!(b.forwarded_filters(NodeIndex(1)).len(), 1);
+    }
+
+    #[test]
+    fn overlapping_client_subscriptions_deliver_once() {
+        let mut b =
+            LinearBroker::new(NodeIndex(0), BrokerTopology::Peer { neighbors: vec![NodeIndex(1)] });
+        let mut out = Outbox::new();
+        b.handle(SimTime::ZERO, NodeIndex(10), BrokerMsg::Attach, &mut out);
+        for (id, filter) in [(1, Filter::for_kind("k")), (2, Filter::any())] {
+            let sub = Subscription { id, filter };
+            b.handle(SimTime::ZERO, NodeIndex(10), BrokerMsg::Subscribe(sub), &mut out);
+        }
+        let mut out = Outbox::new();
+        b.handle(SimTime::ZERO, NodeIndex(1), BrokerMsg::Notify(Event::new("k")), &mut out);
+        assert_eq!(out.sends().len(), 1, "both filters match; one delivery");
     }
 }

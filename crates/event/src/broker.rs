@@ -550,7 +550,9 @@ impl Broker {
         // Interfaces with at least one matching subscription, for
         // inter-broker forwarding decisions.
         let mut wanted: HashSet<u32, FnvBuildHasher> = HashSet::default();
-        let mut buffered: HashSet<u32, FnvBuildHasher> = HashSet::default();
+        // Local interfaces already served: a client or proxy gets each
+        // event once however many of its subscriptions match.
+        let mut served: HashSet<u32, FnvBuildHasher> = HashSet::default();
         let mut to_buffer: Vec<NodeIndex> = Vec::new();
         for &id in &matched {
             let iface = *self.iface_of.get(&id).expect("id tracked");
@@ -559,10 +561,10 @@ impl Broker {
                 continue;
             }
             if self.proxies.contains_key(&iface) {
-                if buffered.insert(iface.0) {
+                if served.insert(iface.0) {
                     to_buffer.push(iface);
                 }
-            } else if self.clients.contains(&iface) {
+            } else if self.clients.contains(&iface) && served.insert(iface.0) {
                 out.send(iface, BrokerMsg::Notify(event.clone()));
                 out.count("pubsub.delivered_local", 1.0);
             }
@@ -706,6 +708,30 @@ mod tests {
         let delivered = sent_to(&out, n(10));
         assert_eq!(delivered.len(), 1);
         assert!(matches!(delivered[0], BrokerMsg::Notify(_)));
+    }
+
+    #[test]
+    fn overlapping_client_subscriptions_deliver_once() {
+        let mut b = peer_broker();
+        let mut out = Outbox::new();
+        b.handle(
+            SimTime::ZERO,
+            n(10),
+            BrokerMsg::Subscribe(sub(1, Filter::for_kind("w"))),
+            &mut out,
+        );
+        b.handle(
+            SimTime::ZERO,
+            n(10),
+            BrokerMsg::Subscribe(sub(2, Filter::any().with_constraint("t", Op::Gt, 15i64))),
+            &mut out,
+        );
+        let mut out = Outbox::new();
+        let ev = Event::new("w").with_attr("t", 20i64);
+        b.handle(SimTime::ZERO, n(1), BrokerMsg::Notify(ev), &mut out);
+        assert_eq!(sent_to(&out, n(10)).len(), 1, "both filters match; one delivery");
+        let local = out.counts().iter().filter(|(name, _)| name == "pubsub.delivered_local");
+        assert_eq!(local.count(), 1);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! an authoritative writer ships **delta batches** — the insert/retract
 //! tail since the receiver's last known epoch, as a
 //! `kbdelta/<subject>@<from..to>` document — and receivers repair their
-//! local fact stores (and through them the matching engine's alpha
-//! memories) incrementally.
+//! local fact stores incrementally.
 //!
 //! The protocol is anchored by versioned snapshots
 //! ([`DistributedKnowledge::facts_to_xml_versioned`]): a snapshot stamps

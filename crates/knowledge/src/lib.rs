@@ -10,8 +10,8 @@
 //!   intervals, behind the [`FactSource`] query trait used by matchlets.
 //!   [`InMemoryFacts`] additionally keeps an insert/retract change feed
 //!   ([`FactDelta`] + [`FactsVersion`] epochs) that incremental consumers
-//!   — the matchlet engine's alpha/beta memories — repair their indexes
-//!   from instead of re-reading the store,
+//!   — the [`delta`] batches shipped between nodes — read instead of
+//!   re-reading the store,
 //! * [`gis`] — a spatial directory (places, streets, opening hours,
 //!   haversine geometry) including the St Andrews scene of the paper's
 //!   ice-cream scenario,

@@ -8,8 +8,8 @@ use gloss_sim::{GeoPoint, SimTime};
 
 /// Whether a call to `name` can read state outside its arguments — the
 /// clock (`now`, zero-argument `minutes_of_day`) or the knowledge base
-/// (the `fact` boolean form handled in `eval`). The engine refuses to
-/// memoise any rule whose conditions call one of these; keep this list
+/// (the `fact` boolean form handled in `eval`). Static analysis never
+/// constant-folds an expression that calls one of these; keep this list
 /// in sync with [`call`] below when adding a builtin.
 pub fn reads_dynamic_state(name: &str) -> bool {
     matches!(name, "fact" | "now" | "minutes_of_day")

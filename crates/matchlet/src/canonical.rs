@@ -1,46 +1,19 @@
-//! Canonical goal chains: the shape under which rules share beta state.
+//! Goal normalisation: the order in which the engine solves a rule's
+//! `where` goals.
 //!
-//! Two rules share join work exactly when their `where` chains start the
-//! same way *up to variable names and condition placement*. This module
-//! computes that shape:
-//!
-//! 1. **Normalisation** ([`normalise_goals`]) hoists each condition to
-//!    the earliest position at which every variable it reads is already
-//!    available — right after the last *preceding* fact goal that first
-//!    introduces one of its variables (or to the front when none does).
-//!    Fact goals never move, so solution *enumeration order* is
-//!    untouched: only fact goals multiply environments, and a condition
-//!    prunes the same environments wherever it runs once its inputs are
-//!    bound. A hoisted condition is evaluated once per narrower
-//!    environment, so rules that interleave filters with enumeration get
-//!    cheaper — and rules that differ only in filter placement become
-//!    shareable. (Error *counts* can shrink: a pruned branch is pruned
-//!    earlier. The engine applies the same normalised chain on its
-//!    non-memoised fallback path, so the two paths stay bit-identical.)
-//! 2. **Canonical renaming** maps each rule variable to a numbered slot
-//!    in order of first occurrence in the normalised chain, so `?u` in
-//!    one rule and `?x` in another canonicalise identically.
-//! 3. **Encoding** renders each canonical goal to a byte-exact string —
-//!    literals variant- and bit-sensitive, like the engine's memo keys —
-//!    which is the identity of a beta-trie node under its parent.
+//! [`normalise_goals`] hoists each condition to the earliest position at
+//! which every variable it reads is already available — right after the
+//! last *preceding* fact goal that first introduces one of its variables
+//! (or to the front when none does). Fact goals never move, so solution
+//! *enumeration order* is untouched: only fact goals multiply
+//! environments, and a condition prunes the same environments wherever it
+//! runs once its inputs are bound. A hoisted condition is evaluated once
+//! per narrower environment, so rules that interleave filters with
+//! enumeration get cheaper. (Error *counts* can shrink: a pruned branch
+//! is pruned earlier.)
 
-use crate::ast::{Expr, Goal, Pat, Rule};
+use crate::ast::{Expr, Goal, Pat};
 use crate::symbol::Symbol;
-use gloss_knowledge::Term;
-use std::fmt::Write as _;
-
-/// Whether an expression reads state a memo cannot see: the clock
-/// builtins or a `fact(...)` call *inside* an expression.
-pub fn expr_reads_dynamic_state(expr: &Expr) -> bool {
-    match expr {
-        Expr::Lit(_) | Expr::Var(_) => false,
-        Expr::Call(name, args) => {
-            crate::builtin::reads_dynamic_state(name) || args.iter().any(expr_reads_dynamic_state)
-        }
-        Expr::Binary(_, l, r) => expr_reads_dynamic_state(l) || expr_reads_dynamic_state(r),
-        Expr::Not(e) | Expr::Neg(e) => expr_reads_dynamic_state(e),
-    }
-}
 
 /// Collects every variable an expression reads.
 pub fn collect_expr_vars(expr: &Expr, vars: &mut Vec<Symbol>) {
@@ -96,289 +69,47 @@ pub fn normalise_goals(goals: &[Goal]) -> Vec<Goal> {
     keyed.into_iter().map(|(_, _, g)| g.clone()).collect()
 }
 
-/// A rule's canonical chain: the normalised goals rewritten over
-/// numbered slots, their node-identity encodings, and the mapping back
-/// to the rule's own variables.
-#[derive(Debug, Clone)]
-pub struct CanonicalChain {
-    /// Normalised goals with every variable replaced by its slot symbol
-    /// ([`slot_symbol`]).
-    pub goals: Vec<Goal>,
-    /// Byte-exact encoding of each canonical goal (beta-node identity
-    /// under its parent).
-    pub reprs: Vec<String>,
-    /// Cumulative slot count after each goal (`slots_after[i]` slots are
-    /// in scope once goals `0..=i` have run).
-    pub slots_after: Vec<u32>,
-    /// The rule's own variable for each slot, in slot order: the
-    /// projection of an input environment onto these is the memo key,
-    /// and replayed canonical bindings translate back through it.
-    pub key_vars: Vec<Symbol>,
-    /// Distinct predicates the chain enumerates, in first-use order.
-    pub predicates: Vec<String>,
-}
-
-/// The canonical chain of a rule's goals, or `None` when the rule must
-/// be solved directly every firing: a condition reads dynamic state, or
-/// no goal enumerates facts (memoising pure filters is pure overhead).
-pub fn canonical_chain(rule: &Rule) -> Option<CanonicalChain> {
-    let mut any_fact = false;
-    for goal in &rule.goals {
-        match goal {
-            Goal::Fact { .. } => any_fact = true,
-            Goal::Cond(expr) if expr_reads_dynamic_state(expr) => return None,
-            Goal::Cond(_) => {}
-        }
-    }
-    if !any_fact {
-        return None;
-    }
-    let normalised = normalise_goals(&rule.goals);
-    let mut key_vars: Vec<Symbol> = Vec::new();
-    let mut slot_of = |v: Symbol, key_vars: &mut Vec<Symbol>| -> u32 {
-        match key_vars.iter().position(|s| *s == v) {
-            Some(i) => i as u32,
-            None => {
-                key_vars.push(v);
-                (key_vars.len() - 1) as u32
-            }
-        }
-    };
-    let mut goals = Vec::with_capacity(normalised.len());
-    let mut reprs = Vec::with_capacity(normalised.len());
-    let mut slots_after = Vec::with_capacity(normalised.len());
-    let mut predicates: Vec<String> = Vec::new();
-    for goal in &normalised {
-        let canonical = match goal {
-            Goal::Fact { subject, predicate, object } => {
-                if !predicates.iter().any(|p| p == predicate) {
-                    predicates.push(predicate.clone());
-                }
-                Goal::Fact {
-                    subject: canon_pat(subject, &mut slot_of, &mut key_vars),
-                    predicate: predicate.clone(),
-                    object: canon_pat(object, &mut slot_of, &mut key_vars),
-                }
-            }
-            Goal::Cond(expr) => Goal::Cond(canon_expr(expr, &mut slot_of, &mut key_vars)),
-        };
-        reprs.push(encode_goal(&canonical));
-        slots_after.push(key_vars.len() as u32);
-        goals.push(canonical);
-    }
-    Some(CanonicalChain { goals, reprs, slots_after, key_vars, predicates })
-}
-
-/// The interned symbol for canonical slot `i` (`β0`, `β1`, …). Slot
-/// symbols live in their own namespace of environments — canonical
-/// bindings never mix with rule bindings — so a user variable happening
-/// to share the name is harmless.
-pub fn slot_symbol(i: u32) -> Symbol {
-    Symbol::intern(&format!("\u{3b2}{i}"))
-}
-
-fn canon_pat(
-    pat: &Pat,
-    slot_of: &mut impl FnMut(Symbol, &mut Vec<Symbol>) -> u32,
-    key_vars: &mut Vec<Symbol>,
-) -> Pat {
-    match pat {
-        Pat::Var(v) => Pat::Var(slot_symbol(slot_of(*v, key_vars))),
-        other => other.clone(),
-    }
-}
-
-fn canon_expr(
-    expr: &Expr,
-    slot_of: &mut impl FnMut(Symbol, &mut Vec<Symbol>) -> u32,
-    key_vars: &mut Vec<Symbol>,
-) -> Expr {
-    match expr {
-        Expr::Lit(t) => Expr::Lit(t.clone()),
-        Expr::Var(v) => Expr::Var(slot_symbol(slot_of(*v, key_vars))),
-        Expr::Call(name, args) => Expr::Call(
-            name.clone(),
-            args.iter().map(|a| canon_expr(a, slot_of, key_vars)).collect(),
-        ),
-        Expr::Binary(op, l, r) => Expr::Binary(
-            *op,
-            Box::new(canon_expr(l, slot_of, key_vars)),
-            Box::new(canon_expr(r, slot_of, key_vars)),
-        ),
-        Expr::Not(e) => Expr::Not(Box::new(canon_expr(e, slot_of, key_vars))),
-        Expr::Neg(e) => Expr::Neg(Box::new(canon_expr(e, slot_of, key_vars))),
-    }
-}
-
-/// Renders a canonical goal to its identity string. Literal terms encode
-/// variant- and bit-exactly (floats by bit pattern), mirroring the memo
-/// keys: goals that could ever solve differently must encode differently.
-fn encode_goal(goal: &Goal) -> String {
-    let mut s = String::new();
-    match goal {
-        Goal::Fact { subject, predicate, object } => {
-            s.push('F');
-            encode_pat(subject, &mut s);
-            let _ = write!(s, "|{}:{predicate}|", predicate.len());
-            encode_pat(object, &mut s);
-        }
-        Goal::Cond(expr) => {
-            s.push('C');
-            encode_expr(expr, &mut s);
-        }
-    }
-    s
-}
-
-fn encode_pat(pat: &Pat, s: &mut String) {
-    match pat {
-        // Canonical pats only hold slot symbols, whose names are unique
-        // per slot.
-        Pat::Var(v) => {
-            let _ = write!(s, "v{v}");
-        }
-        Pat::Wild => s.push('w'),
-        Pat::Lit(t) => encode_term(t, s),
-    }
-}
-
-fn encode_term(t: &Term, s: &mut String) {
-    match t {
-        Term::Str(x) => {
-            let _ = write!(s, "s{}:{x}", x.len());
-        }
-        Term::Int(x) => {
-            let _ = write!(s, "i{x}");
-        }
-        Term::Float(x) => {
-            let _ = write!(s, "f{}", x.to_bits());
-        }
-        Term::Bool(x) => {
-            let _ = write!(s, "b{}", *x as u8);
-        }
-        Term::Geo(g) => {
-            let _ = write!(s, "g{},{}", g.lat.to_bits(), g.lon.to_bits());
-        }
-        Term::Time(x) => {
-            let _ = write!(s, "t{}", x.as_micros());
-        }
-    }
-}
-
-fn encode_expr(expr: &Expr, s: &mut String) {
-    match expr {
-        Expr::Lit(t) => encode_term(t, s),
-        Expr::Var(v) => {
-            let _ = write!(s, "v{v}");
-        }
-        Expr::Call(name, args) => {
-            let _ = write!(s, "k{}:{name}(", name.len());
-            for a in args {
-                encode_expr(a, s);
-                s.push(',');
-            }
-            s.push(')');
-        }
-        Expr::Binary(op, l, r) => {
-            let _ = write!(s, "({op:?} ");
-            encode_expr(l, s);
-            s.push(' ');
-            encode_expr(r, s);
-            s.push(')');
-        }
-        Expr::Not(e) => {
-            s.push('!');
-            encode_expr(e, s);
-        }
-        Expr::Neg(e) => {
-            s.push('-');
-            encode_expr(e, s);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_rules;
 
-    fn chain(body: &str) -> CanonicalChain {
+    fn normalised(body: &str) -> Vec<Goal> {
         let src = format!("rule r {{ on a: event k(x: ?x) {body} within 1m emit o() }}");
-        canonical_chain(&parse_rules(&src).unwrap()[0]).expect("memoisable")
+        normalise_goals(&parse_rules(&src).unwrap()[0].goals)
     }
 
-    #[test]
-    fn alpha_equivalent_rules_encode_identically() {
-        let a = chain("where fact(?u, likes, ?w) and fact(?u, knows, ?k)");
-        let b = chain("where fact(?p, likes, ?q) and fact(?p, knows, ?z)");
-        assert_eq!(a.reprs, b.reprs);
-        assert_eq!(a.slots_after, vec![2, 3]);
-    }
-
-    #[test]
-    fn repeated_variable_structure_is_preserved() {
-        let a = chain("where fact(?u, likes, ?w)");
-        let b = chain("where fact(?u, likes, ?u)");
-        assert_ne!(a.reprs[0], b.reprs[0], "self-join must not alias a plain enumeration");
+    fn predicate(goal: &Goal) -> &str {
+        match goal {
+            Goal::Fact { predicate, .. } => predicate,
+            Goal::Cond(_) => panic!("expected a fact goal, got {goal:?}"),
+        }
     }
 
     #[test]
     fn conditions_hoist_to_their_introduction_point() {
-        let c = chain("where fact(?u, likes, ?w) and fact(?u, knows, ?k) and ?w != \"golf\"");
+        let c = normalised("where fact(?u, likes, ?w) and fact(?u, knows, ?k) and ?w != \"golf\"");
         // The filter reads ?w (introduced by goal 1): it hoists between
         // the two fact goals.
-        assert!(matches!(c.goals[0], Goal::Fact { .. }));
-        assert!(matches!(c.goals[1], Goal::Cond(_)));
-        assert!(matches!(c.goals[2], Goal::Fact { .. }));
-        // ... which makes it share a prefix with the filter-first rule.
-        let d = chain("where fact(?a, likes, ?b) and ?b != \"golf\"");
-        assert_eq!(c.reprs[..2], d.reprs[..]);
+        assert!(matches!(c[0], Goal::Fact { .. }));
+        assert!(matches!(c[1], Goal::Cond(_)));
+        assert!(matches!(c[2], Goal::Fact { .. }));
+        // ... which is where the filter-first spelling already puts it.
+        let d = normalised("where fact(?u, likes, ?w) and ?w != \"golf\" and fact(?u, knows, ?k)");
+        assert_eq!(c, d);
     }
 
     #[test]
     fn input_only_conditions_hoist_to_the_front() {
-        let c = chain("where fact(?u, likes, ?w) and ?x > 2");
-        assert!(matches!(c.goals[0], Goal::Cond(_)), "?x comes from the event pattern");
-        assert_eq!(c.key_vars[0].as_str(), "x");
+        let c = normalised("where fact(?u, likes, ?w) and ?x > 2");
+        assert!(matches!(c[0], Goal::Cond(_)), "?x comes from the event pattern");
+        assert_eq!(predicate(&c[1]), "likes");
     }
 
     #[test]
     fn facts_never_reorder() {
-        let c = chain("where fact(?u, likes, ?w) and fact(?w, sold_at, ?s)");
-        let Goal::Fact { predicate, .. } = &c.goals[0] else { panic!() };
-        assert_eq!(predicate, "likes");
-        let Goal::Fact { predicate, .. } = &c.goals[1] else { panic!() };
-        assert_eq!(predicate, "sold_at");
-        assert_eq!(c.predicates, vec!["likes".to_string(), "sold_at".to_string()]);
-    }
-
-    #[test]
-    fn dynamic_and_factless_rules_have_no_chain() {
-        let src = r#"
-            rule clocky { on a: event k(x: ?x) where fact(?u, closes_at, ?c) and minutes_of_day() < ?c within 1m emit o() }
-            rule pure { on a: event k(x: ?x) where ?x > 2 within 1m emit o() }
-        "#;
-        let rules = parse_rules(src).unwrap();
-        assert!(canonical_chain(&rules[0]).is_none());
-        assert!(canonical_chain(&rules[1]).is_none());
-    }
-
-    #[test]
-    fn literal_encodings_are_bit_exact() {
-        // The parser narrows `3.0` to Int(3), so drive the encoder on
-        // constructed terms: same numeric value, different variant or bit
-        // pattern, must never alias a beta node.
-        let enc = |t: &Term| {
-            let mut s = String::new();
-            encode_term(t, &mut s);
-            s
-        };
-        assert_ne!(enc(&Term::Int(3)), enc(&Term::Float(3.0)), "Int(3) vs Float(3.0)");
-        assert_ne!(enc(&Term::Float(0.0)), enc(&Term::Float(-0.0)), "float zeros differ by bit");
-        assert_ne!(enc(&Term::Bool(true)), enc(&Term::Int(1)), "Bool(true) vs Int(1)");
-        // And through the full chain: a fractional literal survives as Float.
-        let a = chain("where fact(?u, score, 3)");
-        let b = chain("where fact(?u, score, 3.5)");
-        assert_ne!(a.reprs[0], b.reprs[0]);
+        let c = normalised("where fact(?u, likes, ?w) and fact(?w, sold_at, ?s)");
+        assert_eq!(predicate(&c[0]), "likes");
+        assert_eq!(predicate(&c[1]), "sold_at");
     }
 }

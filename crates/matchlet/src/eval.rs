@@ -74,24 +74,9 @@ impl Bindings {
     }
 
     /// Drops all bindings after the first `len` (the solver's
-    /// backtracking undo: bindings are append-only within a frame; the
-    /// engine's memo replay uses the same discipline).
+    /// backtracking undo: bindings are append-only within a frame).
     pub(crate) fn truncate(&mut self, len: usize) {
         self.entries.truncate(len);
-    }
-
-    /// The raw `(symbol, value)` entries in insertion order (the engine's
-    /// memo captures the suffix a solve appended beyond its input).
-    pub(crate) fn raw_entries(&self) -> &[(Symbol, Term)] {
-        &self.entries
-    }
-
-    /// Appends an entry the caller knows is not already bound (memo
-    /// replay of a captured suffix — suffixes only ever contain symbols
-    /// that were unbound in the input environment).
-    pub(crate) fn push_raw(&mut self, sym: Symbol, value: Term) {
-        debug_assert!(self.get_sym(sym).is_none(), "memo suffix rebinds ?{sym}");
-        self.entries.push((sym, value));
     }
 
     /// Joins two environments: `None` if any shared variable disagrees

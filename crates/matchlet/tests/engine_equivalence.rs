@@ -1,23 +1,14 @@
-//! Property tests: the indexed, hash-joining, delta-memoising engine is
+//! Property test: the indexed, hash-joining engine is
 //! semantics-preserving.
 //!
-//! Two references:
-//!
-//! 1. A transcription of the seed implementation's algorithm — scan every
-//!    rule for every event, evict every buffer every event, join buffers
-//!    with a clone-first nested loop — on top of the shared
-//!    `unify`/`solve`/`eval` primitives. Random rule sets and event
-//!    streams must produce identical outputs (kind + attributes,
-//!    order-insensitive), identical per-rule fire behaviour, and
-//!    identical error counts.
-//!
-//! 2. The engine *itself*, fed through an opaque `FactSource` wrapper
-//!    that hides the change feed — which forces a from-scratch re-solve
-//!    of every firing. Under random interleavings of fact inserts,
-//!    retracts, rule additions/removals, and events (including facts with
-//!    validity windows), the incremental engine's firings must be
-//!    **byte-identical in order** to the from-scratch twin's, and the
-//!    error/fire counters must agree exactly.
+//! The reference is a transcription of the seed implementation's
+//! algorithm — scan every rule for every event, evict every buffer every
+//! event, join buffers with a clone-first nested loop, solve the `where`
+//! goals as written — on top of the shared `unify`/`solve`/`eval`
+//! primitives. Under random interleavings of events, fact inserts (some
+//! with validity windows), retracts, subject removals and rule
+//! additions/removals, both engines must produce the same firings in the
+//! same order, the same per-rule fire counts and the same error counts.
 
 use gloss_event::Event;
 use gloss_knowledge::{Fact, FactSource, InMemoryFacts, Term};
@@ -33,17 +24,33 @@ use std::collections::VecDeque;
 type Buffers = Vec<VecDeque<(SimTime, Bindings)>>;
 
 struct ReferenceEngine {
-    rules: Vec<(Rule, Buffers)>,
+    /// Each rule with its buffers and how many times it fired.
+    rules: Vec<(Rule, Buffers, u64)>,
     eval_errors: u64,
 }
 
 impl ReferenceEngine {
     fn new(rules: Vec<Rule>) -> Self {
-        let rules = rules
-            .into_iter()
-            .map(|r| (r.clone(), vec![VecDeque::new(); r.patterns.len()]))
-            .collect();
-        ReferenceEngine { rules, eval_errors: 0 }
+        let mut engine = ReferenceEngine { rules: Vec::new(), eval_errors: 0 };
+        for rule in rules {
+            engine.add_rule(rule);
+        }
+        engine
+    }
+
+    fn add_rule(&mut self, rule: Rule) {
+        let buffers = vec![VecDeque::new(); rule.patterns.len()];
+        self.rules.push((rule, buffers, 0));
+    }
+
+    fn remove_rule(&mut self, name: &str) -> bool {
+        let before = self.rules.len();
+        self.rules.retain(|(rule, _, _)| rule.name != name);
+        self.rules.len() != before
+    }
+
+    fn fired(&self) -> Vec<u64> {
+        self.rules.iter().map(|(_, _, fired)| *fired).collect()
     }
 
     fn match_pattern(pattern: &EventPattern, event: &Event) -> Option<Bindings> {
@@ -64,7 +71,7 @@ impl ReferenceEngine {
 
     fn on_event(&mut self, now: SimTime, event: &Event, kb: &dyn FactSource) -> Vec<Event> {
         let mut out = Vec::new();
-        for (rule, buffers) in &mut self.rules {
+        for (rule, buffers, fired) in &mut self.rules {
             let window = rule.window;
             let cutoff = if now.as_micros() > window.as_micros() {
                 SimTime::from_micros(now.as_micros() - window.as_micros())
@@ -134,6 +141,7 @@ impl ReferenceEngine {
                             }
                         }
                         if ok {
+                            *fired += 1;
                             out.push(ev);
                         }
                     }
@@ -154,20 +162,6 @@ fn kb() -> InMemoryFacts {
     kb.add(Fact::new("ub", "likes", Term::str("tea")));
     kb.add(Fact::new("ua", "knows", Term::str("ub")));
     kb
-}
-
-/// Renders events into an order-insensitive, comparable form (attribute
-/// maps iterate in name order, so the rendering is canonical).
-fn canonical(events: &[Event]) -> Vec<String> {
-    let mut rendered: Vec<String> = events
-        .iter()
-        .map(|e| {
-            let attrs: Vec<String> = e.attrs().map(|(k, v)| format!("{k}={v:?}")).collect();
-            format!("{}({})", e.kind(), attrs.join(","))
-        })
-        .collect();
-    rendered.sort();
-    rendered
 }
 
 // --- generators ----------------------------------------------------------
@@ -242,6 +236,8 @@ fn arb_event() -> impl Strategy<Value = (u64, Event)> {
         })
 }
 
+// --- engine vs reference on a fixed knowledge base ----------------------
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -263,8 +259,8 @@ proptest! {
             let expected = reference.on_event(now, ev, &kb);
             let got = engine.on_event(now, ev, &kb);
             prop_assert_eq!(
-                canonical(&got),
-                canonical(&expected),
+                rendered(&got),
+                rendered(&expected),
                 "rules:\n{}\nevent: {} at {}",
                 src,
                 ev,
@@ -272,37 +268,17 @@ proptest! {
             );
         }
         prop_assert_eq!(engine.stats.eval_errors, reference.eval_errors);
-        let fired: u64 = engine.rules().iter().map(|r| r.fired).sum();
-        prop_assert_eq!(engine.stats.events_out, fired);
+        let fired: Vec<u64> = engine.rules().iter().map(|r| r.fired).collect();
+        prop_assert_eq!(&fired, &reference.fired());
+        prop_assert_eq!(engine.stats.events_out, fired.iter().sum::<u64>());
     }
 }
 
-// --- incremental engine vs from-scratch re-solve -------------------------
-
-/// Hides a store's change feed: an engine fed through this wrapper can
-/// never memoise and re-solves every firing from scratch — the exact
-/// "from-scratch re-solve" semantics the incremental path must preserve.
-struct Opaque<'a>(&'a InMemoryFacts);
-
-impl FactSource for Opaque<'_> {
-    fn query<'b>(
-        &'b self,
-        subject: Option<&'b str>,
-        predicate: Option<&'b str>,
-    ) -> Box<dyn Iterator<Item = &'b Fact> + 'b> {
-        self.0.query(subject, predicate)
-    }
-
-    fn for_each_at(
-        &self,
-        subject: Option<&str>,
-        predicate: Option<&str>,
-        t: SimTime,
-        f: &mut dyn FnMut(&Fact),
-    ) {
-        self.0.for_each_at(subject, predicate, t, f)
-    }
-}
+// --- engine vs reference under event, fact and rule churn ----------------
+//
+// The engine keeps its kind index and join buffers incrementally across
+// fact and rule churn; the reference re-solves every firing from scratch
+// against the live store.
 
 /// Renders events order-sensitively (attribute maps iterate in name
 /// order, so each rendering is canonical; the *sequence* is compared).
@@ -389,35 +365,37 @@ fn arb_op() -> impl Strategy<Value = ChurnOp> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn incremental_engine_matches_from_scratch_resolve(
         base_rules in arb_rules(),
-        ops in proptest::collection::vec(arb_op(), 1..48),
+        ops in proptest::collection::vec(arb_op(), 1..64),
     ) {
         let rules = parse_rules(&base_rules).expect("generated rules parse");
-        let mut incremental = MatchletEngine::new();
-        let mut scratch = MatchletEngine::new();
+        let mut reference = ReferenceEngine::new(rules.clone());
+        let mut engine = MatchletEngine::new();
         for rule in rules {
-            incremental.add_rule(rule.clone());
-            scratch.add_rule(rule);
+            engine.add_rule(rule);
         }
         let mut kb = kb();
         kb.add(Fact::new("ua", "rank", Term::Int(1)));
         kb.add(Fact::new("ub", "rank", Term::Int(2)));
         let mut now = SimTime::ZERO;
         let mut added = 0usize;
+        let mut emitted = 0u64;
         for op in &ops {
             match op {
                 ChurnOp::Event(dt, ev) => {
                     now += gloss_sim::SimDuration::from_secs(*dt);
-                    let got = incremental.on_event(now, ev, &kb);
-                    let expected = scratch.on_event(now, ev, &Opaque(&kb));
+                    let got = engine.on_event(now, ev, &kb);
+                    let expected = reference.on_event(now, ev, &kb);
+                    emitted += got.len() as u64;
                     prop_assert_eq!(
                         rendered(&got),
                         rendered(&expected),
-                        "diverged on event {} at {}",
+                        "rules:\n{}\ndiverged on event {} at {}",
+                        base_rules,
                         ev,
                         now
                     );
@@ -446,27 +424,26 @@ proptest! {
                     let parsed = parse_rules(&src).expect("churn rule parses");
                     added += 1;
                     for r in parsed {
-                        incremental.add_rule(r.clone());
-                        scratch.add_rule(r);
+                        engine.add_rule(r.clone());
+                        reference.add_rule(r);
                     }
                 }
                 ChurnOp::RemoveRule(i) => {
                     let name = format!("a{i}");
-                    prop_assert_eq!(incremental.remove_rule(&name), scratch.remove_rule(&name));
+                    prop_assert_eq!(engine.remove_rule(&name), reference.remove_rule(&name));
                 }
             }
         }
-        prop_assert_eq!(incremental.stats.eval_errors, scratch.stats.eval_errors);
-        prop_assert_eq!(incremental.stats.events_out, scratch.stats.events_out);
-        let fired_inc: Vec<u64> = incremental.rules().iter().map(|r| r.fired).collect();
-        let fired_scr: Vec<u64> = scratch.rules().iter().map(|r| r.fired).collect();
-        prop_assert_eq!(fired_inc, fired_scr);
+        prop_assert_eq!(engine.stats.eval_errors, reference.eval_errors);
+        prop_assert_eq!(engine.stats.events_out, emitted);
+        let fired: Vec<u64> = engine.rules().iter().map(|r| r.fired).collect();
+        prop_assert_eq!(fired, reference.fired());
     }
 }
 
-/// Validity windows must expire out of the alpha/beta memories: a memo
-/// computed while a windowed fact held must not replay once it lapses,
-/// and one computed before the window opens must not mask the opening.
+/// Validity windows open and close on time: a firing inside a windowed
+/// fact's validity sees it, firings before and after do not — in any
+/// order of firing times.
 #[test]
 fn validity_windows_expire_out_of_alpha_and_beta_memories() {
     let mut kb = InMemoryFacts::new();
@@ -476,18 +453,16 @@ fn validity_windows_expire_out_of_alpha_and_beta_memories() {
             .valid_between(SimTime::from_secs(100), SimTime::from_secs(200)),
     );
     let src = r#"rule fans { on q: event k1() where fact(?v0, likes, "ice") emit out(u: ?v0) }"#;
-    let mut incremental = MatchletEngine::compile(src).unwrap();
-    let mut scratch = MatchletEngine::compile(src).unwrap();
+    let mut engine = MatchletEngine::compile(src).unwrap();
+    let mut reference = ReferenceEngine::new(parse_rules(src).unwrap());
     let ev = Event::new("k1");
     for secs in [0u64, 50, 99, 100, 150, 199, 200, 250, 150, 50] {
-        // (The last two go backwards: replay probes must handle any
-        // computed_at/now ordering.)
+        // (The last two go backwards.)
         let now = SimTime::from_secs(secs);
-        let got = rendered(&incremental.on_event(now, &ev, &kb));
-        let expected = rendered(&scratch.on_event(now, &ev, &Opaque(&kb)));
+        let got = rendered(&engine.on_event(now, &ev, &kb));
+        let expected = rendered(&reference.on_event(now, &ev, &kb));
         assert_eq!(got, expected, "at t={secs}");
         let inside = (100..200).contains(&secs);
         assert_eq!(got.len(), if inside { 2 } else { 1 }, "ub only inside the window (t={secs})");
     }
-    assert!(incremental.stats.memo_hits > 0, "steady spans were memoised");
 }

@@ -36,8 +36,8 @@ impl Hasher for FnvHasher {
 /// `BuildHasher` for [`FnvHasher`].
 pub type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
 
-/// FNV-1a of a byte string in one call — the fingerprint the matching
-/// core's alpha indexes bucket fact subjects by.
+/// FNV-1a of a byte string in one call — how [`crate::SimRng::fork`]
+/// turns a label into a seed.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FnvHasher::default();
     h.write(bytes);
