@@ -6,7 +6,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gloss_bench::THREAD_COLUMNS;
 use gloss_event::{Architecture, Event, Filter, Op, PubSubConfig, PubSubNetwork};
 use gloss_knowledge::{
-    Fact, InMemoryFacts, LexicalMatcher, Ontology, ServiceDescription, Term, TextMatcher,
+    Fact, InMemoryFacts, LexicalMatcher, Ontology, PlaceDirectory, ServiceDescription, Term,
+    TextMatcher,
 };
 use gloss_matchlet::MatchletEngine;
 use gloss_overlay::{Key, OverlayNetwork};
@@ -39,6 +40,63 @@ fn e1_matching(c: &mut Criterion) {
         b.iter(|| {
             t += 1;
             engine.on_event(SimTime::from_micros(t), &ev, &kb)
+        })
+    });
+}
+
+/// E1 at its headline size: the paper's ice-cream rule over a full
+/// 5-minute window of 40 users (the `figure1` shape). Users report every
+/// 30 s (one report every 750 ms, round robin) and one of three streets'
+/// thermometers every 20 s; the knowledge base holds the population's
+/// profiles (a third like ice cream, each knows the next user) and the
+/// St Andrews directory. Each iteration offers the next stream slot, so
+/// the buffers stay full and every event pays the real join.
+fn e1_ice_cream_join(c: &mut Criterion) {
+    const USERS: u64 = 40;
+    const SLOT_MS: u64 = 30_000 / USERS;
+    let mut kb = InMemoryFacts::new();
+    kb.extend(PlaceDirectory::st_andrews().to_facts());
+    let nationalities = ["scottish", "australian", "brazilian", "german"];
+    for u in 0..USERS {
+        let name = format!("user{u}");
+        kb.add(Fact::new(&name, "nationality", Term::str(nationalities[u as usize % 4])));
+        kb.add(Fact::new(&name, "knows", Term::str(format!("user{}", (u + 1) % USERS))));
+        if u % 3 == 0 {
+            kb.add(Fact::new(&name, "likes", Term::str("ice cream")));
+        }
+    }
+    let mut engine = MatchletEngine::compile(gloss_core::scenario::ICE_CREAM_RULES).unwrap();
+    // Slot `i`: user `i mod 40` reports a position jittered around the
+    // town centre; every 27th slot (~20 s) a street reports 12–19 °C.
+    let slot = |engine: &mut MatchletEngine, i: u64| {
+        let now = SimTime::from_millis(i * SLOT_MS);
+        let mut out = Vec::new();
+        if i.is_multiple_of(27) {
+            let street = ["South Street", "Market Street", "North Street"][(i / 27 % 3) as usize];
+            let weather = Event::new("weather.reading")
+                .with_attr("street", street)
+                .with_attr("celsius", 12.0 + (i % 8) as f64);
+            out.extend(engine.on_event(now, &weather, &kb));
+        }
+        let jitter = |k: u64| ((i * 7 + k * 13) % 61) as f64 / 60.0 - 0.5;
+        let location = Event::new("user.location")
+            .with_attr("user", format!("user{}", i % USERS))
+            .with_attr("lat", 56.3404 + 0.01 * jitter(1))
+            .with_attr("lon", -2.7955 + 0.02 * jitter(2))
+            .with_attr("on_foot", true);
+        out.extend(engine.on_event(now, &location, &kb));
+        out
+    };
+    // Fill the 5-minute window before timing.
+    let warm = 300_000 / SLOT_MS;
+    for i in 0..warm {
+        slot(&mut engine, i);
+    }
+    let mut i = warm;
+    c.bench_function("e1_ice_cream_join", |b| {
+        b.iter(|| {
+            i += 1;
+            slot(&mut engine, i)
         })
     });
 }
@@ -709,7 +767,7 @@ fn c10_erasure(c: &mut Criterion) {
 criterion_group! {
     name = experiments;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = e1_matching, e4_delta_matching, e2_pipeline_push, e3_bundle_roundtrip,
+    targets = e1_matching, e1_ice_cream_join, e4_delta_matching, e2_pipeline_push, e3_bundle_roundtrip,
               c1_filter_ops, c1_publish_through_network, c2_overlay_route, c3_cache_ops,
               c3_cache_churn, c4_solver, c6_binding, c7_join, c8_store_lookup, c9_retrieval,
               c10_erasure, c13_rule_churn, m1_histogram_polling, s1_rule_scaling,

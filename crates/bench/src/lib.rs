@@ -73,7 +73,7 @@ fn f(v: f64) -> String {
 /// into few meaningful events.
 pub fn e1_matching_service() -> String {
     let mut rows = Vec::new();
-    for users in [10usize, 20, 40] {
+    for users in [10usize, 20, 40, 80] {
         let mut scenario = IceCreamScenario::setup(100 + users as u64);
         let workload = PopulationWorkload {
             users,

@@ -11,8 +11,11 @@
 //! per narrower environment, so rules that interleave filters with
 //! enumeration get cheaper. (Error *counts* can shrink: a pruned branch
 //! is pruned earlier.)
+//!
+//! [`pure_prefix`] then marks the leading goals the engine may also test
+//! during the event join, before the full chain runs.
 
-use crate::ast::{Expr, Goal, Pat};
+use crate::ast::{BinOp, Expr, Goal, Pat};
 use crate::symbol::Symbol;
 
 /// Collects every variable an expression reads.
@@ -69,6 +72,52 @@ pub fn normalise_goals(goals: &[Goal]) -> Vec<Goal> {
     keyed.into_iter().map(|(_, _, g)| g.clone()).collect()
 }
 
+/// Collects every variable a goal reads: a fact goal's subject and object
+/// variables, or a condition's expression variables.
+pub fn collect_goal_vars(goal: &Goal, vars: &mut Vec<Symbol>) {
+    match goal {
+        Goal::Fact { subject, object, .. } => {
+            for pat in [subject, object] {
+                if let Pat::Var(v) = pat {
+                    vars.push(*v);
+                }
+            }
+        }
+        Goal::Cond(expr) => collect_expr_vars(expr, vars),
+    }
+}
+
+/// The length of the leading run of `goals` that is *pure* once the
+/// event patterns have bound `pattern_vars` (sorted): every goal in it
+/// binds no new variable and cannot error. These are
+///
+/// - `fact` goals whose variable arguments are all pattern-bound, and
+/// - `=` / `!=` between pattern-bound variables and literals.
+///
+/// Such goals change no environment and never count an error, so their
+/// conjunction commutes, and an environment that fails one of them ends
+/// with no solution and no error whatever follows it in the chain.
+pub fn pure_prefix(goals: &[Goal], pattern_vars: &[Symbol]) -> usize {
+    let bound = |v: &Symbol| pattern_vars.binary_search(v).is_ok();
+    let pure_operand = |e: &Expr| match e {
+        Expr::Lit(_) => true,
+        Expr::Var(v) => bound(v),
+        _ => false,
+    };
+    goals
+        .iter()
+        .take_while(|goal| match goal {
+            Goal::Fact { subject, object, .. } => {
+                [subject, object].iter().all(|pat| !matches!(pat, Pat::Var(v) if !bound(v)))
+            }
+            Goal::Cond(Expr::Binary(BinOp::Eq | BinOp::Ne, l, r)) => {
+                pure_operand(l) && pure_operand(r)
+            }
+            Goal::Cond(_) => false,
+        })
+        .count()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,6 +153,26 @@ mod tests {
         let c = normalised("where fact(?u, likes, ?w) and ?x > 2");
         assert!(matches!(c[0], Goal::Cond(_)), "?x comes from the event pattern");
         assert_eq!(predicate(&c[1]), "likes");
+    }
+
+    #[test]
+    fn pure_prefix_stops_at_the_first_binding_or_erring_goal() {
+        let vars = |names: &[&str]| {
+            let mut v: Vec<Symbol> = names.iter().map(|n| Symbol::intern(n)).collect();
+            v.sort_unstable();
+            v
+        };
+        let pv = vars(&["x", "u"]);
+        let c = normalised(
+            "where ?u != ?x and fact(?u, knows, ?x) and fact(?u, likes, _) \
+             and fact(?u, nationality, ?n) and fact(?u, likes, \"tea\")",
+        );
+        assert_eq!(pure_prefix(&c, &pv), 3, "?n is not pattern-bound");
+        // An ordering test can error (strings vs numbers): not pure.
+        assert_eq!(pure_prefix(&normalised("where ?x > 0 and fact(?x, likes, _)"), &pv), 0);
+        // Equality with an unbound variable errors: not pure.
+        assert_eq!(pure_prefix(&normalised("where ?x = ?y"), &pv), 0);
+        assert_eq!(pure_prefix(&normalised("where ?x = 3 and fact(a, b, c)"), &pv), 2);
     }
 
     #[test]

@@ -7,24 +7,42 @@
 //!   match it (and [`MatchletEngine::handles_kind`] is O(1));
 //! - pattern fields are **precompiled** (attribute name vs. parsed XPath
 //!   projection), so matching never re-parses keys;
-//! - multi-pattern joins use a **hash join** keyed on the variables the
-//!   patterns share, falling back to a nested loop only for tiny buffers
-//!   or variable-disjoint (cartesian) joins;
 //! - bindings are flat `(Symbol, Term)` vectors ([`Bindings`]), so
 //!   environments clone in one allocation and compare keys by integer.
 //!
-//! Every firing solves the rule's `where` goals from scratch against the
-//! knowledge base, in the order [`crate::canonical::normalise_goals`]
-//! gives them: each condition runs as soon as the variables it reads are
-//! bound, so filters prune before the next fact enumeration multiplies
-//! the environments. There is one solve path; nothing is memoised
-//! between firings, so fact churn, validity windows and the clock
-//! builtins need no invalidation. Equivalence with a naive reference
-//! engine under random event, fact and rule churn is property-tested in
+//! A multi-pattern firing fixes the new event at one pattern and joins
+//! the other patterns' buffers in index order. The rule's *pure* goals
+//! (the leading run of the chain that binds nothing and cannot error,
+//! [`crate::canonical::pure_prefix`]) run inside that join, compiled
+//! once per fixed pattern into a [`FiringPlan`]:
+//!
+//! - goals over the fixed pattern alone are checked once, and a failure
+//!   ends the firing;
+//! - goals over the fixed pattern and one partner filter that partner's
+//!   buffer into a per-firing **view**, in buffer order (condition-level
+//!   filtering before the join, as in TREAT);
+//! - each stage joins its view through a **hash join** keyed on the
+//!   variables it shares with what is already bound (a nested loop for
+//!   tiny views). A stage that shares none but is reached by a linking
+//!   goal `fact(?x, pred, ?y)` is **probed** instead: each environment
+//!   enumerates its `?x`'s `pred` facts and visits only the view entries
+//!   whose `?y` one of them names (a semi-join through the knowledge
+//!   index). Only what no index applies to is a cartesian nested loop.
+//!
+//! Pruning by a pure goal is exact: an environment failing one ends with
+//! no solution and no error. Every surviving environment still solves
+//! the rule's whole `where` chain from scratch against the knowledge
+//! base, in the order [`crate::canonical::normalise_goals`] gives it:
+//! each condition runs as soon as the variables it reads are bound. So
+//! firings, their order and multiplicity, and error counts are those of
+//! the plain cross product. There is one solve path; nothing outlives a
+//! firing, so fact churn, validity windows and the clock builtins need
+//! no invalidation. Equivalence with a naive reference engine under
+//! random event, fact and rule churn is property-tested in
 //! `tests/engine_equivalence.rs`.
 
 use crate::ast::{EventPattern, Goal, Pat, Rule};
-use crate::canonical::normalise_goals;
+use crate::canonical::{collect_goal_vars, normalise_goals, pure_prefix};
 use crate::eval::{eval, solve_mut, unify, Bindings};
 use crate::parser::{parse_rules, MatchletError};
 use crate::symbol::Symbol;
@@ -92,6 +110,73 @@ impl CompiledPattern {
     }
 }
 
+/// A linking goal `fact(?subject, predicate, ?object)` whose subject is
+/// bound before a join stage and whose object that stage binds first.
+#[derive(Debug, Clone, PartialEq)]
+struct Link {
+    subject: Symbol,
+    predicate: String,
+    object: Symbol,
+}
+
+/// How a firing with one pattern fixed uses the rule's pure goals inside
+/// the join (see the module docs). A goal is placed by where each
+/// variable it reads gets its first binding in join order — the fixed
+/// pattern, then the others in index order — so it reads exactly the
+/// values the full environment will hold.
+#[derive(Debug, Clone, PartialEq)]
+struct FiringPlan {
+    /// Goals reading only the fixed pattern: checked once per firing.
+    fixed: Vec<Goal>,
+    /// Per pattern: goals reading that partner and the fixed pattern,
+    /// which filter the partner's buffer into the firing's view.
+    filters: Vec<Vec<Goal>>,
+    /// Per pattern: the linking goal that probes the partner's view.
+    probes: Vec<Option<Link>>,
+}
+
+impl FiringPlan {
+    fn new(compiled: &[CompiledPattern], pure: &[Goal], fixed: usize) -> Self {
+        let n = compiled.len();
+        let order: Vec<usize> =
+            std::iter::once(fixed).chain((0..n).filter(|&p| p != fixed)).collect();
+        // Join position of the pattern that first binds `v` (pure goals
+        // read only pattern-bound variables, so there is one).
+        let first = |v: Symbol| {
+            order.iter().position(|&p| compiled[p].vars.binary_search(&v).is_ok()).unwrap_or(0)
+        };
+        let mut plan =
+            FiringPlan { fixed: Vec::new(), filters: vec![Vec::new(); n], probes: vec![None; n] };
+        for goal in pure {
+            if let Goal::Fact { subject: Pat::Var(x), predicate, object: Pat::Var(y) } = goal {
+                let (sx, sy) = (first(*x), first(*y));
+                let p = order[sy];
+                // The stage must share no variable with what is already
+                // bound: every variable of `p` is first bound at `p`.
+                if sx < sy
+                    && plan.probes[p].is_none()
+                    && compiled[p].vars.iter().all(|v| first(*v) == sy)
+                {
+                    plan.probes[p] =
+                        Some(Link { subject: *x, predicate: predicate.clone(), object: *y });
+                    continue;
+                }
+            }
+            let mut vars = Vec::new();
+            collect_goal_vars(goal, &mut vars);
+            let mut partners: Vec<usize> = vars.into_iter().map(first).filter(|&s| s > 0).collect();
+            partners.sort_unstable();
+            partners.dedup();
+            match partners[..] {
+                [] => plan.fixed.push(goal.clone()),
+                [s] => plan.filters[order[s]].push(goal.clone()),
+                _ => {}
+            }
+        }
+        plan
+    }
+}
+
 /// A rule plus its per-pattern event buffers.
 #[derive(Debug, Clone)]
 pub struct CompiledRule {
@@ -110,18 +195,29 @@ pub struct CompiledRule {
     /// The rule's `where` goals with conditions hoisted to their earliest
     /// sound position ([`normalise_goals`]): the chain every firing solves.
     goals: Vec<Goal>,
+    /// Per fixed pattern (parallel to `compiled`): how a firing with that
+    /// pattern fixed uses the pure goals inside the join.
+    plans: Vec<FiringPlan>,
     /// How many times the rule has fired.
     pub fired: u64,
 }
 
 impl CompiledRule {
     fn new(rule: Rule) -> Self {
-        let compiled = rule.patterns.iter().map(CompiledPattern::new).collect();
+        let compiled: Vec<CompiledPattern> =
+            rule.patterns.iter().map(CompiledPattern::new).collect();
         let buffers = vec![VecDeque::new(); rule.patterns.len()];
         let emit_kind = Arc::from(rule.emit.kind.as_str());
         let emit_keys = rule.emit.fields.iter().map(|(k, _)| Arc::from(k.as_str())).collect();
         let goals = normalise_goals(&rule.goals);
-        CompiledRule { rule, compiled, buffers, emit_kind, emit_keys, goals, fired: 0 }
+        let mut pattern_vars: Vec<Symbol> =
+            compiled.iter().flat_map(|cp| cp.vars.iter().copied()).collect();
+        pattern_vars.sort_unstable();
+        pattern_vars.dedup();
+        let pure = &goals[..pure_prefix(&goals, &pattern_vars)];
+        let plans =
+            (0..compiled.len()).map(|fixed| FiringPlan::new(&compiled, pure, fixed)).collect();
+        CompiledRule { rule, compiled, buffers, emit_kind, emit_keys, goals, plans, fired: 0 }
     }
 
     fn evict_before(&mut self, cutoff: SimTime) {
@@ -371,48 +467,83 @@ fn match_compiled(pattern: &CompiledPattern, event: &Event) -> Option<Bindings> 
     Some(env)
 }
 
-/// Joins below this buffer size use the nested loop: building a hash
-/// table costs more than scanning a handful of entries.
+/// Views below this size join by nested loop: building a hash table
+/// costs more than scanning a handful of entries.
 const HASH_JOIN_MIN_BUFFER: usize = 8;
 
 /// Joins the fixed bindings against the other patterns' buffers and
 /// fires the rule's goals/emit for every complete join environment.
 ///
-/// Patterns sharing variables with the environment are joined through a
-/// hash table keyed on a fingerprint of the shared variables' values, so
-/// only compatible buffer entries are visited; fingerprint collisions are
-/// harmless because `merge` re-verifies every shared binding.
+/// The rule's [`FiringPlan`] for the fixed pattern prunes first: its
+/// fixed goals are checked once, and each partner's buffer is filtered
+/// into a view. Each stage then visits, per environment, only the view
+/// entries that can join: through a hash table keyed on a fingerprint of
+/// the shared variables' values, or, at a probed stage, on the linking
+/// goal's object. Fingerprint collisions are harmless because `merge`
+/// re-verifies every shared binding and `fire` solves the whole chain.
 #[allow(clippy::too_many_arguments)]
 fn join_and_fire(
     rule: &CompiledRule,
     fixed_pattern: usize,
-    fixed_bindings: Bindings,
+    mut fixed_bindings: Bindings,
     kb: &dyn FactSource,
     now: SimTime,
     out: &mut Vec<Event>,
     fired: &mut u64,
     errors: &mut u64,
 ) {
-    if rule.compiled.len() == 1 {
-        // No join partners: solve straight over the pattern's bindings.
-        fire(rule, fixed_bindings, kb, now, out, fired, errors);
+    let plan = &rule.plans[fixed_pattern];
+    if !plan.fixed.iter().all(|goal| holds(goal, &mut fixed_bindings, kb, now)) {
         return;
     }
+    // Filter every partner's buffer before joining: an empty view means
+    // no complete environment, so the firing ends before any join work.
+    let mut views: Vec<Vec<&Bindings>> = Vec::with_capacity(rule.buffers.len());
+    for (p, buffer) in rule.buffers.iter().enumerate() {
+        if p == fixed_pattern {
+            views.push(Vec::new());
+            continue;
+        }
+        let filters = &plan.filters[p];
+        let mark = fixed_bindings.len();
+        let entries = buffer.iter().map(|(_, buffered)| buffered);
+        let view: Vec<&Bindings> = if filters.is_empty() {
+            entries.collect()
+        } else {
+            entries
+                .filter(|buffered| {
+                    // The filters read only the fixed pattern's values
+                    // and the variables this entry binds first.
+                    for (v, term) in buffered.iter() {
+                        if fixed_bindings.get_sym(v).is_none() {
+                            fixed_bindings.insert_sym(v, term.clone());
+                        }
+                    }
+                    let keep = filters.iter().all(|goal| holds(goal, &mut fixed_bindings, kb, now));
+                    fixed_bindings.truncate(mark);
+                    keep
+                })
+                .collect()
+        };
+        if view.is_empty() {
+            return;
+        }
+        views.push(view);
+    }
+
     let mut envs = vec![fixed_bindings];
     // Variables bound so far (sorted): fixed pattern first, then each
     // joined pattern's in turn.
     let mut bound: Vec<Symbol> = rule.compiled[fixed_pattern].vars.clone();
     let stages = rule.compiled.len() - 1;
     let mut stage = 0;
+    let mut hits: Vec<usize> = Vec::new();
     for (p, cp) in rule.compiled.iter().enumerate() {
         if p == fixed_pattern {
             continue;
         }
         stage += 1;
-        let buffer = &rule.buffers[p];
-        if buffer.is_empty() {
-            return;
-        }
+        let view = &views[p];
         let join_vars: Vec<Symbol> =
             cp.vars.iter().copied().filter(|v| bound.binary_search(v).is_ok()).collect();
 
@@ -420,65 +551,39 @@ fn join_and_fire(
         // instead of materialising one more `envs` vector.
         let last = stage == stages;
         let mut next = Vec::with_capacity(if last { 0 } else { envs.len() });
-        let mut sink = |child: Bindings, out: &mut Vec<Event>| {
-            if last {
-                fire(rule, child, kb, now, out, fired, errors);
-            } else {
-                next.push(child);
+        let mut sink = |env: &Bindings, buffered: &Bindings, out: &mut Vec<Event>| {
+            if let Some(child) = env.merged(buffered) {
+                if last {
+                    fire(rule, child, kb, now, out, fired, errors);
+                } else {
+                    next.push(child);
+                }
             }
         };
-        // Try the hash path in one pass over the buffer; `join_key`
-        // returns `None` for values whose fingerprint would not be
-        // faithful to `eq_term` (non-integral numerics), in which case
-        // the whole stage falls back to the nested loop.
-        let mut hashed = false;
-        if !join_vars.is_empty() && buffer.len() >= HASH_JOIN_MIN_BUFFER {
-            let mut table: FnvHashMap<u64, Vec<usize>> =
-                FnvHashMap::with_capacity_and_hasher(buffer.len(), Default::default());
-            let mut exact = true;
-            for (idx, (_, buffered)) in buffer.iter().enumerate() {
-                match join_key(buffered, &join_vars) {
-                    Some(key) => table.entry(key).or_default().push(idx),
-                    None => {
-                        exact = false;
-                        break;
-                    }
-                }
+        // A probed stage shares no variable with `bound` (the plan only
+        // links such stages), so it never also has join variables.
+        let probe = plan.probes[p].as_ref();
+        let table = match probe {
+            Some(link) => key_table(view, std::slice::from_ref(&link.object)),
+            None if !join_vars.is_empty() && view.len() >= HASH_JOIN_MIN_BUFFER => {
+                key_table(view, &join_vars)
             }
-            if exact {
-                hashed = true;
-                for env in &envs {
-                    match join_key(env, &join_vars) {
-                        Some(key) => {
-                            if let Some(bucket) = table.get(&key) {
-                                for &idx in bucket {
-                                    let (_, buffered) = &buffer[idx];
-                                    if let Some(child) = env.merged(buffered) {
-                                        sink(child, out);
-                                    }
-                                }
-                            }
-                        }
-                        // This probe's key is not exactly hashable:
-                        // scan the buffer for just this environment.
-                        None => {
-                            for (_, buffered) in buffer {
-                                if let Some(child) = env.merged(buffered) {
-                                    sink(child, out);
-                                }
-                            }
-                        }
-                    }
+            None => None,
+        };
+        for env in &envs {
+            // The view entries this environment can join, in view
+            // order; `None` scans the whole view.
+            let candidates: Option<&[usize]> = match (&table, probe) {
+                (None, _) => None,
+                (Some(table), Some(link)) => {
+                    link_hits(link, env, table, kb, now, &mut hits).then_some(&hits[..])
                 }
-            }
-        }
-        if !hashed {
-            for env in &envs {
-                for (_, buffered) in buffer {
-                    if let Some(child) = env.merged(buffered) {
-                        sink(child, out);
-                    }
-                }
+                (Some(table), None) => join_key(env, &join_vars)
+                    .map(|key| table.get(&key).map_or(&[][..], Vec::as_slice)),
+            };
+            match candidates {
+                Some(indices) => indices.iter().for_each(|&i| sink(env, view[i], out)),
+                None => view.iter().for_each(|buffered| sink(env, buffered, out)),
             }
         }
         if last {
@@ -494,6 +599,60 @@ fn join_and_fire(
             }
         }
     }
+}
+
+/// Whether a pure goal holds under `env`, solved by the same
+/// [`solve_mut`] as the full chain so the two always agree.
+fn holds(goal: &Goal, env: &mut Bindings, kb: &dyn FactSource, now: SimTime) -> bool {
+    let mut found = false;
+    solve_mut(std::slice::from_ref(goal), env, kb, now, &mut |_| found = true);
+    found
+}
+
+/// Indexes a view by the fingerprint of `vars`' values: key → view
+/// indices in view order. `None` when some entry's key is not faithful
+/// to [`Term::eq_term`] ([`join_key`]), so the stage must scan instead.
+fn key_table(view: &[&Bindings], vars: &[Symbol]) -> Option<FnvHashMap<u64, Vec<usize>>> {
+    let mut table: FnvHashMap<u64, Vec<usize>> =
+        FnvHashMap::with_capacity_and_hasher(view.len(), Default::default());
+    for (idx, buffered) in view.iter().enumerate() {
+        table.entry(join_key(buffered, vars)?).or_default().push(idx);
+    }
+    Some(table)
+}
+
+/// Collects into `hits`, in view order and without repeats, the view
+/// entries whose linked variable is the object of some `link` fact about
+/// `env`'s subject valid at `now`. Returns `false` when the probe cannot
+/// be exact (the subject is not a string, or a fact's object has no
+/// faithful key) and the caller must scan the whole view.
+fn link_hits(
+    link: &Link,
+    env: &Bindings,
+    table: &FnvHashMap<u64, Vec<usize>>,
+    kb: &dyn FactSource,
+    now: SimTime,
+    hits: &mut Vec<usize>,
+) -> bool {
+    hits.clear();
+    let Some(Term::Str(subject)) = env.get_sym(link.subject) else {
+        return false;
+    };
+    let mut exact = true;
+    kb.for_each_at(Some(subject), Some(&link.predicate), now, &mut |fact| {
+        let Some(key) = term_key(&fact.object) else {
+            exact = false;
+            return;
+        };
+        if let Some(bucket) = table.get(&key) {
+            hits.extend_from_slice(bucket);
+        }
+    });
+    // Duplicate facts name an entry more than once; the full chain
+    // enumerates them again, so each entry is visited once.
+    hits.sort_unstable();
+    hits.dedup();
+    exact
 }
 
 /// Solves the rule's where-goals over one join environment and emits one
@@ -543,42 +702,56 @@ fn fire(
 /// pattern's own buffered bindings). Non-numeric terms compare
 /// structurally and always hash faithfully.
 fn join_key(env: &Bindings, join_vars: &[Symbol]) -> Option<u64> {
+    let mut h = gloss_sim::FnvHasher::default();
+    for &v in join_vars {
+        hash_term(&mut h, env.get_sym(v)?)?;
+    }
+    Some(std::hash::Hasher::finish(&h))
+}
+
+/// [`join_key`] of a single value: a fact object keys the same bucket as
+/// a view entry binding its linked variable to an `eq_term`-equal value.
+fn term_key(term: &Term) -> Option<u64> {
+    let mut h = gloss_sim::FnvHasher::default();
+    hash_term(&mut h, term)?;
+    Some(std::hash::Hasher::finish(&h))
+}
+
+/// Feeds one value into a [`join_key`] fingerprint, or `None` when it
+/// cannot be hashed faithfully.
+fn hash_term(h: &mut gloss_sim::FnvHasher, term: &Term) -> Option<()> {
     use std::hash::Hasher as _;
     // IEEE 754 zero has two bit patterns (+0.0 / -0.0) that compare
     // equal; hash them identically.
     fn norm_bits(f: f64) -> u64 {
         (if f == 0.0 { 0.0 } else { f }).to_bits()
     }
-    let mut h = gloss_sim::FnvHasher::default();
-    for &v in join_vars {
-        let term = env.get_sym(v)?;
-        if let Some(f) = term.as_f64() {
-            if f.fract() != 0.0 || f.abs() >= 9.0e15 {
-                return None;
+    if let Some(f) = term.as_f64() {
+        if f.fract() != 0.0 || f.abs() >= 9.0e15 {
+            return None;
+        }
+        h.write_u8(1);
+        h.write_u64(norm_bits(f));
+    } else {
+        match term {
+            Term::Str(s) => {
+                h.write_u8(2);
+                h.write(s.as_bytes());
             }
-            h.write_u8(1);
-            h.write_u64(norm_bits(f));
-        } else {
-            match term {
-                Term::Str(s) => {
-                    h.write_u8(2);
-                    h.write(s.as_bytes());
-                }
-                Term::Bool(b) => {
-                    h.write_u8(3);
-                    h.write_u8(*b as u8);
-                }
-                Term::Geo(g) => {
-                    h.write_u8(4);
-                    h.write_u64(norm_bits(g.lat));
-                    h.write_u64(norm_bits(g.lon));
-                }
-                // Int/Float/Time are numeric and handled above.
-                _ => h.write_u8(5),
+            Term::Bool(b) => {
+                h.write_u8(3);
+                h.write_u8(*b as u8);
             }
+            Term::Geo(g) => {
+                h.write_u8(4);
+                h.write_u64(norm_bits(g.lat));
+                h.write_u64(norm_bits(g.lon));
+            }
+            // Int/Float/Time are numeric and handled above.
+            _ => h.write_u8(5),
         }
     }
-    Some(h.finish())
+    Some(())
 }
 
 /// Converts an event attribute to a matchlet term.
@@ -1206,5 +1379,165 @@ mod tests {
         let out = e.on_event(t(0), &Event::new("query"), &kb);
         assert_eq!(out.len(), 4, "bob+anna for each rule; zoe filtered in both");
         assert!(out.iter().all(|ev| ev.str_attr("user") != Some("zoe")));
+    }
+
+    // --- pure goals inside the join ------------------------------------
+
+    /// The paper's flagship rule, as the ice-cream scenario deploys it.
+    const ICE_CREAM_RULES: &str = include_str!("../../core/src/matchlets/ice_cream.matchlet");
+
+    /// A plan's goals, rendered as predicate names (`cond` for conditions).
+    fn shape(goals: &[Goal]) -> Vec<&str> {
+        goals
+            .iter()
+            .map(|g| match g {
+                Goal::Fact { predicate, .. } => predicate.as_str(),
+                Goal::Cond(_) => "cond",
+            })
+            .collect()
+    }
+
+    fn link(subject: &str, predicate: &str, object: &str) -> Option<Link> {
+        Some(Link {
+            subject: Symbol::intern(subject),
+            predicate: predicate.to_string(),
+            object: Symbol::intern(object),
+        })
+    }
+
+    #[test]
+    fn ice_cream_plan_filters_fans_and_probes_friends() {
+        let e = MatchletEngine::compile(ICE_CREAM_RULES).unwrap();
+        let rule = &e.rules()[0];
+        let [w, b, f] = &rule.plans[..] else { panic!("three patterns: w, b, f") };
+        // Weather fixed: `likes` filters the on-foot buffer, and `knows`
+        // probes the friend stage from each walker's ?u.
+        assert!(w.fixed.is_empty());
+        assert_eq!(
+            w.filters.iter().map(|g| shape(g)).collect::<Vec<_>>(),
+            [vec![], vec!["likes"], vec![]]
+        );
+        assert_eq!(w.probes, [None, None, link("u", "knows", "v")]);
+        // A walker fixed: `likes` is checked once, before any join.
+        assert_eq!(shape(&b.fixed), ["likes"]);
+        assert_eq!(shape(&b.filters[2]), ["cond"], "?u != ?v filters the friends");
+        assert_eq!(b.probes, [None, None, link("u", "knows", "v")]);
+        // A friend fixed: `knows` reads ?v from the fixed event, so it
+        // filters the walkers with the other pure goals.
+        assert!(f.fixed.is_empty());
+        assert_eq!(shape(&f.filters[1]), ["cond", "knows", "likes"]);
+        assert_eq!(f.probes, [None, None, None]);
+    }
+
+    /// A walker/friend rule linked by `knows`, for the probe tests.
+    const LINKED: &str = r#"
+        rule walk_with {
+            on a: event walker(user: ?u)
+            on b: event friend(user: ?v, n: ?n)
+            where fact(?u, knows, ?v)
+            within 10m
+            emit pair(u: ?u, v: ?v, n: ?n)
+        }
+    "#;
+
+    fn walker(u: &str) -> Event {
+        Event::new("walker").with_attr("user", u)
+    }
+
+    fn friend(v: impl Into<AttrValue>, n: i64) -> Event {
+        Event::new("friend").with_attr("user", v).with_attr("n", n)
+    }
+
+    #[test]
+    fn duplicate_link_facts_keep_their_multiplicity_and_buffer_order() {
+        let mut kb = kb();
+        kb.add(Fact::new("bob", "knows", Term::str("anna")));
+        kb.add(Fact::new("bob", "knows", Term::str("anna")));
+        kb.add(Fact::new("bob", "knows", Term::str("zoe")));
+        let mut e = MatchletEngine::compile(LINKED).unwrap();
+        assert_eq!(e.rules()[0].plans[0].probes[1], link("u", "knows", "v"));
+        for i in 0..12 {
+            let who = match i {
+                0 | 5 | 10 => "anna".to_string(),
+                3 => "zoe".to_string(),
+                _ => format!("u{i}"),
+            };
+            e.on_event(t(i as u64), &friend(who.as_str(), i), &kb);
+        }
+        let out = e.on_event(t(20), &walker("bob"), &kb);
+        let ns: Vec<f64> = out.iter().map(|ev| ev.num_attr("n").unwrap()).collect();
+        // Each anna entry fires once per `knows` fact, and entries reached
+        // through different facts keep their buffer order.
+        assert_eq!(ns, [0.0, 0.0, 3.0, 5.0, 5.0, 10.0, 10.0]);
+        assert_eq!(e.rules()[0].fired, 7);
+    }
+
+    #[test]
+    fn non_integral_link_values_scan_and_join_epsilon_equal_partners() {
+        let mut kb = InMemoryFacts::new();
+        kb.add(Fact::new("bob", "knows", Term::Float(0.3)));
+        kb.add(Fact::new("eve", "knows", Term::Float(7.0 + 1e-13)));
+        let mut e = MatchletEngine::compile(LINKED).unwrap();
+        // A view holding non-integral values has no faithful key table.
+        for i in 0..12 {
+            let v = if i == 5 { 0.1 + 0.2 } else { i as f64 + 0.5 };
+            e.on_event(t(i), &friend(v, i as i64), &kb);
+        }
+        let out = e.on_event(t(20), &walker("bob"), &kb);
+        assert_eq!(out.len(), 1, "0.1 + 0.2 joins the 0.3 link");
+        assert_eq!(out[0].num_attr("n"), Some(5.0));
+        // An integral view is keyed, but a non-integral link object has
+        // no faithful key: that probe scans the view.
+        let mut e = MatchletEngine::compile(LINKED).unwrap();
+        for i in 0..12i64 {
+            e.on_event(t(i as u64), &friend(i, i), &kb);
+        }
+        let out = e.on_event(t(20), &walker("eve"), &kb);
+        assert_eq!(out.len(), 1, "7 + 1e-13 joins the Int(7) friend");
+        assert_eq!(out[0].num_attr("n"), Some(7.0));
+    }
+
+    #[test]
+    fn link_facts_stop_matching_when_their_validity_ends() {
+        let mut kb = InMemoryFacts::new();
+        kb.add(
+            Fact::new("bob", "knows", Term::str("anna"))
+                .valid_between(SimTime::from_secs(100), SimTime::from_secs(200)),
+        );
+        let mut e = MatchletEngine::compile(LINKED).unwrap();
+        let mut fires = Vec::new();
+        for secs in [50u64, 150, 250] {
+            e.on_event(t(secs), &friend("anna", secs as i64), &kb);
+            fires.push(e.on_event(t(secs + 1), &walker("bob"), &kb).len());
+        }
+        assert_eq!(fires, [0, 2, 0], "inside the window bob joins both buffered anna events");
+    }
+
+    #[test]
+    fn an_erring_condition_stops_the_pushdown_where_it_stands() {
+        let src = r#"
+            rule r {
+                on a: event x(who: ?u)
+                on b: event y(n: ?n)
+                where ?u != "nobody" and ?n > 0 and fact(?u, likes, "ice cream")
+                within 10m
+                emit z(u: ?u)
+            }
+        "#;
+        let mut e = MatchletEngine::compile(src).unwrap();
+        let plan = &e.rules()[0].plans[0];
+        assert_eq!(shape(&plan.fixed), ["cond"], "only ?u != \"nobody\" precedes ?n > 0");
+        assert!(plan.filters.iter().all(Vec::is_empty));
+        assert!(plan.probes.iter().all(Option::is_none));
+        for i in 0..3 {
+            e.on_event(t(i), &Event::new("y").with_attr("n", "text"), &kb());
+        }
+        // zoe likes nothing, but `?n > 0` errs on every environment
+        // before `likes` can prune it: three errors, as in the chain.
+        assert!(e.on_event(t(5), &Event::new("x").with_attr("who", "zoe"), &kb()).is_empty());
+        assert_eq!(e.stats.eval_errors, 3);
+        // "nobody" fails the pure goal ahead of the erring one: no error.
+        assert!(e.on_event(t(6), &Event::new("x").with_attr("who", "nobody"), &kb()).is_empty());
+        assert_eq!(e.stats.eval_errors, 3);
     }
 }

@@ -1,5 +1,5 @@
-//! Property test: the indexed, hash-joining engine is
-//! semantics-preserving.
+//! Property test: the indexed, hash-joining engine, which runs a rule's
+//! pure goals inside the event join, is semantics-preserving.
 //!
 //! The reference is a transcription of the seed implementation's
 //! algorithm — scan every rule for every event, evict every buffer every
@@ -161,6 +161,17 @@ fn kb() -> InMemoryFacts {
     kb.add(Fact::new("ub", "likes", Term::str("ice")));
     kb.add(Fact::new("ub", "likes", Term::str("tea")));
     kb.add(Fact::new("ua", "knows", Term::str("ub")));
+    // Links for the join probe: a duplicate (multiplicity), a reverse
+    // edge, one valid only for a while, and numeric objects, integral
+    // (keyed) and not (scanned).
+    kb.add(Fact::new("ua", "knows", Term::str("ub")));
+    kb.add(Fact::new("ub", "knows", Term::str("ua")));
+    kb.add(
+        Fact::new("ub", "knows", Term::str("ice"))
+            .valid_between(SimTime::from_secs(30), SimTime::from_secs(90)),
+    );
+    kb.add(Fact::new("ua", "knows", Term::Int(1)));
+    kb.add(Fact::new("ub", "knows", Term::Float(1.5)));
     kb
 }
 
@@ -179,9 +190,18 @@ fn arb_field() -> impl Strategy<Value = String> {
     ((0usize..3), arb_pat()).prop_map(|(f, p)| format!("f{f}: {p}"))
 }
 
-fn arb_pattern() -> impl Strategy<Value = String> {
-    ((0usize..3), proptest::collection::vec(arb_field(), 0..3))
-        .prop_map(|(k, fields)| format!("on a: event k{k}({})", fields.join(", ")))
+/// The `i`th pattern of a rule. Half of them bind `?v{i}` first, so
+/// multi-pattern rules often bind their variables in different patterns:
+/// partners that share no variable, linked only by the `where` goals.
+fn arb_pattern(i: usize) -> impl Strategy<Value = String> {
+    ((0usize..3), proptest::collection::vec(arb_field(), 0..3), (0usize..2), (0usize..3)).prop_map(
+        move |(k, mut fields, anchored, f)| {
+            if anchored == 0 {
+                fields.insert(0, format!("f{f}: ?v{i}"));
+            }
+            format!("on a: event k{k}({})", fields.join(", "))
+        },
+    )
 }
 
 fn arb_where() -> impl Strategy<Value = String> {
@@ -191,8 +211,24 @@ fn arb_where() -> impl Strategy<Value = String> {
         Just("where ?v0 != ?v1".to_string()),
         Just("where fact(?v0, likes, ?v2)".to_string()),
         Just("where fact(?v0, likes, \"ice\") and fact(?v0, knows, ?v1)".to_string()),
+        // Pure goals the engine runs inside the join: a linking goal
+        // (probes ?v1's pattern when ?v0 is bound by an earlier one) and
+        // a unary filter.
+        Just(LINK_WHERE.to_string()),
+        Just("where fact(?v0, likes, \"ice\")".to_string()),
+        // Pure conditions spanning two partners: usable only by the
+        // firings that fix one of the patterns they read.
+        Just("where ?v0 != ?v1 and ?v1 != ?v2".to_string()),
+        // An erring condition (`>` over string values) ahead of a pure
+        // goal stops the pushdown; one after a pure run must still count
+        // exactly the errors of the environments that reach it.
+        Just("where ?v0 > 0 and fact(?v0, likes, \"ice\")".to_string()),
+        Just(format!("{LINK_WHERE} and fact(?v0, likes, ?w) and ?w > 0")),
     ]
 }
+
+/// A where-body whose `knows` goal links two patterns' variables.
+const LINK_WHERE: &str = "where ?v0 != ?v1 and fact(?v0, knows, ?v1)";
 
 fn arb_emit() -> impl Strategy<Value = String> {
     prop_oneof![
@@ -204,9 +240,13 @@ fn arb_emit() -> impl Strategy<Value = String> {
 }
 
 fn arb_rule(idx: usize) -> impl Strategy<Value = String> {
-    (proptest::collection::vec(arb_pattern(), 1..3), arb_where(), (5u64..40), arb_emit()).prop_map(
+    // One to three patterns: with three, the fixed pattern has two
+    // partners that may share no variable, the shape of the ice-cream rule.
+    let patterns = ((1usize..4), arb_pattern(0), arb_pattern(1), arb_pattern(2))
+        .prop_map(|(n, p0, p1, p2)| [p0, p1, p2][..n].join(" "));
+    (patterns, arb_where(), (5u64..120), arb_emit()).prop_map(
         move |(patterns, cond, window, emit)| {
-            format!("rule r{idx} {{ {} {cond} within {window} s {emit} }}", patterns.join(" "))
+            format!("rule r{idx} {{ {patterns} {cond} within {window} s {emit} }}")
         },
     )
 }
@@ -226,7 +266,7 @@ fn arb_attr_value() -> impl Strategy<Value = Term> {
 }
 
 fn arb_event() -> impl Strategy<Value = (u64, Event)> {
-    ((0usize..3), proptest::collection::vec(((0usize..3), arb_attr_value()), 0..3), (0u64..10))
+    ((0usize..3), proptest::collection::vec(((0usize..3), arb_attr_value()), 0..4), (0u64..10))
         .prop_map(|(k, fields, dt)| {
             let mut ev = Event::new(format!("k{k}"));
             for (f, value) in fields {
@@ -244,7 +284,7 @@ proptest! {
     #[test]
     fn indexed_engine_matches_reference(
         src in arb_rules(),
-        events in proptest::collection::vec(arb_event(), 1..30),
+        events in proptest::collection::vec(arb_event(), 1..80),
     ) {
         let rules = parse_rules(&src).expect("generated rules parse");
         let mut reference = ReferenceEngine::new(rules.clone());
@@ -299,15 +339,26 @@ enum ChurnOp {
     Event(u64, Event),
     /// Insert a fact, optionally with a validity window starting at the
     /// current time plus the first offset and ending plus the second.
-    Insert { subject: String, object: Term, windowed: Option<(u64, u64)> },
-    /// Retract every fact matching `(subject, likes, object)`.
-    Retract { subject: String, object: Term },
+    Insert { fact: ChurnFact, windowed: Option<(u64, u64)> },
+    /// Retract every fact matching the triple.
+    Retract(ChurnFact),
     /// Remove all facts about a subject.
     RemoveSubject(String),
     /// Hot-add one rule from source.
     AddRule(String),
     /// Remove a rule by name.
     RemoveRule(usize),
+}
+
+/// A `(predicate, subject, object)` triple over the churned predicates:
+/// `likes` with flavour or numeric objects, `knows` between users.
+type ChurnFact = (&'static str, String, Term);
+
+fn arb_fact() -> impl Strategy<Value = ChurnFact> {
+    prop_oneof![
+        (arb_subject(), arb_object()).prop_map(|(s, o)| ("likes", s, o)),
+        (arb_subject(), arb_subject()).prop_map(|(s, o)| ("knows", s, Term::str(o))),
+    ]
 }
 
 fn arb_subject() -> impl Strategy<Value = String> {
@@ -322,8 +373,10 @@ fn arb_object() -> impl Strategy<Value = Term> {
 }
 
 /// Rule bodies over the churned predicates: fact enumerations with bound
-/// and unbound subjects, multi-goal chains, and a windowed two-pattern
-/// event join on top (wrapped in `rule aN { ... }` at apply time).
+/// and unbound subjects, multi-goal chains, a windowed two-pattern event
+/// join on top, and a two-pattern join linked by a `knows` goal, which
+/// meets inserts, retracts and validity windows of `knows` facts (each
+/// wrapped in `rule aN { ... }` at apply time).
 fn arb_churn_rule_body() -> impl Strategy<Value = String> {
     let bodies = prop_oneof![
         Just("on a: event k0(f0: ?v0) where fact(?v0, likes, ?v2)".to_string()),
@@ -331,6 +384,7 @@ fn arb_churn_rule_body() -> impl Strategy<Value = String> {
         Just("on a: event k0(f0: ?v0) where fact(?v0, likes, ?v2) and fact(?v0, knows, ?v1)".to_string()),
         Just("on a: event k1(f1: ?v1) on b: event k2(f1: ?v1) where fact(?v0, likes, ?v2) and ?v1 != 1".to_string()),
         Just("on a: event k2(f0: ?v0, f1: ?v1) where fact(?v0, rank, ?v1)".to_string()),
+        Just(format!("on a: event k0(f0: ?v0) on b: event k1(f1: ?v1) {LINK_WHERE}")),
     ];
     (bodies, 10u64..40).prop_map(|(body, win)| format!("{body} within {win} s emit out(u: ?v0)"))
 }
@@ -338,13 +392,9 @@ fn arb_churn_rule_body() -> impl Strategy<Value = String> {
 fn arb_op() -> impl Strategy<Value = ChurnOp> {
     let event = || arb_event().prop_map(|(dt, ev)| ChurnOp::Event(dt, ev));
     let insert = || {
-        (arb_subject(), arb_object(), (0u64..4), (0u64..10), (10u64..30)).prop_map(
-            |(subject, object, w, from, to)| ChurnOp::Insert {
-                subject,
-                object,
-                windowed: (w == 0).then_some((from, to)),
-            },
-        )
+        (arb_fact(), (0u64..4), (0u64..10), (10u64..30)).prop_map(|(fact, w, from, to)| {
+            ChurnOp::Insert { fact, windowed: (w == 0).then_some((from, to)) }
+        })
     };
     // The vendored proptest has no weighted `prop_oneof!`; duplicate
     // entries weight events and inserts over the rarer churn ops.
@@ -356,8 +406,7 @@ fn arb_op() -> impl Strategy<Value = ChurnOp> {
         event(),
         insert(),
         insert(),
-        (arb_subject(), arb_object())
-            .prop_map(|(subject, object)| ChurnOp::Retract { subject, object }),
+        arb_fact().prop_map(ChurnOp::Retract),
         arb_subject().prop_map(ChurnOp::RemoveSubject),
         arb_churn_rule_body().prop_map(ChurnOp::AddRule),
         (0usize..4).prop_map(ChurnOp::RemoveRule),
@@ -370,7 +419,7 @@ proptest! {
     #[test]
     fn incremental_engine_matches_from_scratch_resolve(
         base_rules in arb_rules(),
-        ops in proptest::collection::vec(arb_op(), 1..64),
+        ops in proptest::collection::vec(arb_op(), 1..128),
     ) {
         let rules = parse_rules(&base_rules).expect("generated rules parse");
         let mut reference = ReferenceEngine::new(rules.clone());
@@ -400,8 +449,8 @@ proptest! {
                         now
                     );
                 }
-                ChurnOp::Insert { subject, object, windowed } => {
-                    let mut fact = Fact::new(subject.clone(), "likes", object.clone());
+                ChurnOp::Insert { fact: (predicate, subject, object), windowed } => {
+                    let mut fact = Fact::new(subject.clone(), *predicate, object.clone());
                     if let Some((from, to)) = windowed {
                         fact = fact.valid_between(
                             now + gloss_sim::SimDuration::from_secs(*from),
@@ -410,8 +459,8 @@ proptest! {
                     }
                     kb.add(fact);
                 }
-                ChurnOp::Retract { subject, object } => {
-                    kb.retract(subject, "likes", object);
+                ChurnOp::Retract((predicate, subject, object)) => {
+                    kb.retract(subject, predicate, object);
                 }
                 ChurnOp::RemoveSubject(subject) => {
                     kb.remove_subject(subject);
